@@ -24,9 +24,12 @@ ENGINE = "numpy"
 STRUCTURE = "flat"
 
 #: sequential_dfs calls per graph (at least), and the least time they
-#: fill; their median is the x_sequential base
+#: fill; their median is the seq_s row
 SEQ_REPS = 5
 SEQ_MIN_S = 0.05
+#: sequential_dfs calls (at least) right before and right after each
+#: timed parallel_dfs, the x_sequential base
+SEQ_BRACKET = 3
 
 
 @dataclass
@@ -48,6 +51,7 @@ class DFSCall:
     """One timed parallel_dfs call and its tracked cost."""
 
     seconds: float
+    cpu_s: float
     work: int
     span: int
     result: DFSResult
@@ -72,11 +76,12 @@ def timed_dfs(
     t = Tracker()
     rng = random.Random(seed) if seed is not None else None
     gc.collect()
-    t0 = time.perf_counter()
+    c0, t0 = time.process_time(), time.perf_counter()
     res = call(
         g, root, tracker=t, rng=rng, kernel_backend=ENGINE, backend=STRUCTURE
     )
-    return DFSCall(time.perf_counter() - t0, t.work, t.span, res)
+    t1, c1 = time.perf_counter(), time.process_time()
+    return DFSCall(t1 - t0, c1 - c0, t.work, t.span, res)
 
 
 def tree_error(g: Graph, call: DFSCall) -> str | None:
@@ -101,6 +106,33 @@ def seq_seconds(g: Graph, root: int) -> float:
         sequential_dfs(g, root, Tracker())
         times.append(time.perf_counter() - t0)
     return statistics.median(times)
+
+
+def seq_cpu(g: Graph, root: int, min_s: float = 0.0) -> list[float]:
+    """CPU times of sequential_dfs calls after one collection: at least
+    SEQ_BRACKET calls, and more until they fill ``min_s``."""
+    times: list[float] = []
+    gc.collect()
+    while len(times) < SEQ_BRACKET or sum(times) < min_s:
+        c0 = time.process_time()
+        sequential_dfs(g, root, Tracker())
+        times.append(time.process_time() - c0)
+    return times
+
+
+def bracketed(
+    g: Graph, root: int, call: Callable[[], DFSCall], min_s: float = 0.0
+) -> tuple[DFSCall, list[float]]:
+    """Run ``call`` between two brackets of sequential_dfs calls on ``g``
+    (see :func:`seq_cpu`); return it and the brackets' CPU times.
+
+    x_sequential divides the call's CPU time by these.  Both sides run on
+    one thread under the pinned engine, so CPU time is their cost without
+    the time a shared host takes the core away, and the brackets sample
+    the host's speed in the same seconds as the call they divide."""
+    before = seq_cpu(g, root, min_s)
+    c = call()
+    return c, before + seq_cpu(g, root, min_s)
 
 
 def tail(values: list[float]) -> float:

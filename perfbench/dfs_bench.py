@@ -19,6 +19,7 @@ import time
 
 from common import (
     Ledger,
+    bracketed,
     check_accounting,
     peak_rss_mb,
     seq_seconds,
@@ -31,28 +32,30 @@ from repro.graph.generators import make_family
 
 N = 10_000
 ROOT = 0
-#: workload -> (family, graphs per run); at about 6 s (gnm) and 3.5 s
-#: (tree) per call on a 2-core host, the counts fill about 30 s
-WORKLOADS = {"gnm-1e4": ("gnm", 5), "tree-1e4": ("tree", 8)}
+#: workload -> (family, graphs per run); at 5-7 s (gnm) and 3.5-4.5 s
+#: (tree) per call on a 2-vCPU shared host, the counts fill about 30 s
+WORKLOADS = {"gnm-1e4": ("gnm", 5), "tree-1e4": ("tree", 7)}
 #: a DFS call slower than this misses the workload's latency limit
 DFS_LIMIT_S = 60.0
 #: builds per graph; set-up time is the median over all of them
-SETUP_REPS = 2
+SETUP_REPS = 1
+#: sequential_dfs CPU time (at least) before and after each timed call
+SEQ_BRACKET_S = 0.25
 
 
 def _graphs(family: str, seed: int, count: int):
-    """The run's graphs, and the set-up times: each graph (and its CSR
-    view) is built SETUP_REPS times, and the last build is kept."""
+    """The run's graphs, and the set-up CPU times: each graph (and its
+    CSR view) is built SETUP_REPS times, and the last build is kept."""
     rng = random.Random(seed)
     graphs, setup = [], []
     for _ in range(count):
         graph_seed = rng.randrange(2**31)
         for _ in range(SETUP_REPS):
             gc.collect()
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             g = make_family(family, N, seed=graph_seed)
             g.csr()
-            setup.append(time.perf_counter() - t0)
+            setup.append(time.process_time() - t0)
         graphs.append(g)
     # first-call imports and kernel registration, outside every timing
     timed_dfs(make_family(family, 64, seed=seed), ROOT)
@@ -66,22 +69,22 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, Le
     if trace:
         return _run_traced(graphs, ledger), ledger
 
-    times: list[list[float]] = [[] for _ in graphs]
+    dfs: list[list[float]] = [[] for _ in graphs]
+    seq: list[list[float]] = [[] for _ in graphs]
     first: list[tuple | None] = [None] * len(graphs)
-    seq: list[float] = []
     deadline = time.perf_counter() + seconds
     i = 0
     while i < len(graphs) or time.perf_counter() < deadline:
         gi = i % len(graphs)
         g = graphs[gi]
-        call = timed_dfs(g, ROOT)
-        times[gi].append(call.seconds)
+        call, base = bracketed(g, ROOT, lambda: timed_dfs(g, ROOT), SEQ_BRACKET_S)
+        dfs[gi].append(call.cpu_s)
+        seq[gi].extend(base)
         err = tree_error(g, call)
         ledger.check(err is None, f"graph {gi}: invalid tree: {err}")
         key = (call.digest(), call.work, call.span)
         if first[gi] is None:
             first[gi] = key
-            seq.append(seq_seconds(g, ROOT))
         else:
             ledger.check(
                 key == first[gi],
@@ -89,11 +92,15 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, Le
             )
         i += 1
 
-    dfs_s = statistics.fmean(statistics.median(t) for t in times)
+    # a ratio of means over the graph set: the sequential samples spread
+    # over the whole run, as the calls they divide do
+    x_seq = statistics.fmean(statistics.median(d) for d in dfs) / statistics.fmean(
+        statistics.fmean(s) for s in seq
+    )
     mn = sum(g.n + g.m for g in graphs)
     return {
         "setup_s": statistics.median(setup),
-        "x_sequential": dfs_s / statistics.fmean(seq),
+        "x_sequential": x_seq,
         "work_per_mn": sum(k[1] for k in first) / mn,
         "span": statistics.fmean(k[2] for k in first),
         "peak_rss_mb": peak_rss_mb(),

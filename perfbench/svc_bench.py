@@ -28,6 +28,7 @@ from common import (
     ENGINE,
     STRUCTURE,
     Ledger,
+    bracketed,
     check_accounting,
     payload_digest,
     peak_rss_mb,
@@ -64,8 +65,8 @@ LIMIT_S = 1.0
 #: executor threads, never more than cores; the load comes from this
 #: one process
 WORKERS = min(2, os.cpu_count() or 1)
-#: times the resident graph is loaded; set-up is their median
-LOADS = 10
+#: times the resident graph is loaded; set-up is their median CPU time
+LOADS = 30
 #: fresh parallel_dfs calls per audited key; dfs_s takes their median
 AUDIT_REPS = 3
 
@@ -153,9 +154,9 @@ async def _session(n, edges, reqs, due, keys, ledger, tracer):
         setup = []
         for _ in range(LOADS):
             gc.collect()
-            t0 = time.perf_counter()
+            t0 = time.process_time()
             resp = await h.op("load", graph="g", n=n, edges=edges)
-            setup.append(time.perf_counter() - t0)
+            setup.append(time.process_time() - t0)
             ledger.check(resp.get("ok", False), f"load failed: {resp}")
         # first-call imports and the rebuild path, then a fresh copy
         for op, fields in (
@@ -214,12 +215,19 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, Le
         tracer.reset()
 
     # audit outside the timed stream: served trees vs fresh parallel_dfs
-    plain, traced, seq, calls = [], [], [], []
+    plain, traced, seq, calls, ratios = [], [], [], [], []
     for (root, s), resp in served.items():
-        reps = [timed_dfs(final, root, seed=s) for _ in range(AUDIT_REPS)]
+        reps, base = [], []
+        for _ in range(AUDIT_REPS):
+            c, b = bracketed(final, root, lambda: timed_dfs(final, root, seed=s))
+            reps.append(c)
+            base.extend(b)
         call = reps[0]
         calls.append(call)
         plain.append(statistics.median(c.seconds for c in reps))
+        ratios.append(
+            statistics.median(c.cpu_s for c in reps) / statistics.median(base)
+        )
         err = tree_error(final, call)
         ledger.check(err is None, f"key {root},{s}: invalid fresh tree: {err}")
         ledger.check(
@@ -230,8 +238,8 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, Le
             resp.get("ok", False) and payload_digest(resp["tree"]) == call.digest(),
             f"key {root},{s}: served tree differs from a fresh parallel_dfs",
         )
-        seq.append(seq_seconds(final, root))
         if tracer is not None:
+            seq.append(seq_seconds(final, root))
             with tracer.installed():
                 b = timed_dfs(final, root, seed=s, call=tracer.dfs)
             traced.append(b.seconds)
@@ -253,10 +261,9 @@ def run(workload: str, seed: int, seconds: float, trace: bool) -> tuple[dict, Le
             "tail_ms": tail(latencies) * 1e3,
         }, ledger
 
-    dfs_s = statistics.median(plain)
     return {
         "setup_s": statistics.median(setup),
-        "x_sequential": dfs_s / statistics.median(seq),
+        "x_sequential": statistics.median(ratios),
         "work_per_mn": sum(c.work for c in calls) / (len(calls) * (final.n + final.m)),
         "span": statistics.fmean(c.span for c in calls),
         "peak_rss_mb": peak_rss_mb(),
