@@ -87,12 +87,9 @@ FUZZ_FAMILIES = [
     "spider", "cycletree", "bipartite", "powerlaw",
 ]
 
-#: kernel backends every DFS case runs under — byte-identity is checked
-#: pairwise against the tracked instrument. The parallel column runs the
-#: tiled multiprocess shims (serial in-process below the tiling
-#: threshold, which fuzz-sized graphs always are; the genuine pool
-#: paths are pinned separately by tests/test_parallel_backend.py).
-_BACKENDS = ("tracked", "numpy", "parallel")
+#: kernel backends every DFS, op-sequence and service case runs under —
+#: byte-identity is checked pairwise against the tracked instrument
+_BACKENDS = ("tracked", "numpy")
 
 #: structure backends the op-sequence cases run in lockstep. Each pair
 #: (structure backend x kernel backend) must agree on every canonical
@@ -393,11 +390,6 @@ def check_ops_case(g: Graph, ops: Sequence[tuple]) -> None:
 # Service cases: incremental maintenance vs full recompute
 # ----------------------------------------------------------------------
 
-#: kernel backends the service cases run under (the parallel column is
-#: covered by the service load/stateful tests; fuzz keeps the per-case
-#: cost down so CI reaches its min-case floor inside the budget)
-_SERVICE_BACKENDS = ("tracked", "numpy")
-
 #: rebuild_fraction values exercised: 0.0 forces every batch through the
 #: full-rebuild path (global invalidation), 1.0 forces every batch
 #: through the incremental HDT path, 0.25 is the service default mix
@@ -456,7 +448,7 @@ def check_service_case(
             kernel_backend=kb,
             rebuild_fraction=rebuild_fraction,
         )
-        for kb in _SERVICE_BACKENDS
+        for kb in _BACKENDS
     }
     mutations_seen = {kb: rg.dyn.mutations for kb, rg in rgs.items()}
 

@@ -42,8 +42,8 @@ __all__ = ["main"]
 
 #: ``--backend`` values that name a kernel execution engine rather than a
 #: Lemma 5.1 absorption structure (the structure then stays at "flat",
-#: the array-native default that pairs with the array engines)
-_KERNEL_BACKENDS = ("tracked", "numpy", "parallel")
+#: the array-native default that pairs with the array engine)
+_KERNEL_BACKENDS = ("tracked", "numpy")
 
 
 def _cmd_dfs(args: argparse.Namespace) -> int:
@@ -60,13 +60,6 @@ def _cmd_dfs(args: argparse.Namespace) -> int:
     if args.backend in _KERNEL_BACKENDS:
         structure = "flat"
         kernel_backend = args.backend
-    if args.workers is not None:
-        if kernel_backend != "parallel":
-            print("--workers requires --backend parallel", file=sys.stderr)
-            return 2
-        from .pram.executor import get_pool
-
-        get_pool(args.workers)
     t = Tracker()
     trc = mtr = None
     scope = nullcontext()
@@ -318,12 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=("rc", "rc-det", "lct", "flat") + _KERNEL_BACKENDS,
         default="rc",
         help="absorption structure (rc/rc-det/lct/flat) or kernel engine "
-             "(tracked/numpy/parallel; structure then defaults to flat)",
-    )
-    p.add_argument(
-        "--workers", type=int, default=None, metavar="N",
-        help="worker-process count for --backend parallel "
-             "(default: REPRO_WORKERS or cpu count)",
+             "(tracked/numpy; structure then defaults to flat)",
     )
     p.set_defaults(fn=_cmd_dfs)
 

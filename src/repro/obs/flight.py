@@ -12,7 +12,7 @@ A :class:`FlightRecorder` couples three bounded pieces:
 * a ring-limited :class:`~repro.obs.tracer.Tracer` (``limit`` spans,
   oldest evicted) holding the recent span history across every thread;
 * an event ring (``deque(maxlen=...)`` of tuples) for point-in-time
-  records — request completions, pool dispatches, protocol errors —
+  records — request completions, protocol errors —
   each stamped with the current
   :func:`~repro.obs.context.current_request_id`;
 * a :class:`~repro.obs.metrics.Metrics` registry snapshot attached to

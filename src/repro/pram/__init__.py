@@ -1,15 +1,8 @@
-"""PRAM work-depth substrate: cost tracking, primitives, real executors."""
+"""PRAM work-depth substrate: cost tracking, primitives, a thread-pool map."""
 
 from .tracker import Cost, Tracker, brent_time, brent_time_bounds, log2_ceil
 from . import primitives
-from .executor import (
-    WorkerPool,
-    default_workers,
-    get_pool,
-    run_parallel,
-    shutdown_pool,
-)
-from .shm import ShmArena, ShmRef, attach_ref, leaked_segments
+from .executor import default_workers, run_parallel
 from .sorting import parallel_sort, parallel_merge
 
 __all__ = [
@@ -21,13 +14,6 @@ __all__ = [
     "primitives",
     "run_parallel",
     "default_workers",
-    "WorkerPool",
-    "get_pool",
-    "shutdown_pool",
-    "ShmArena",
-    "ShmRef",
-    "attach_ref",
-    "leaked_segments",
     "parallel_sort",
     "parallel_merge",
 ]

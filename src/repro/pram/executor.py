@@ -1,43 +1,21 @@
-"""Real-concurrency executors behind the ``parallel`` kernel backend.
+"""Real-concurrency helpers: a thread-pool map and its worker count.
 
-Three execution stories coexist in this reproduction (DESIGN.md §2):
-
-* ``kernel_backend="tracked"`` — the measurement instrument. Sequential
-  Python with exact per-element work/span accounting; the quantities the
-  paper's theorems bound. No wall-clock claims.
-* ``kernel_backend="numpy"`` — the single-core execution engine. The
-  same round structure as whole-array C kernels; fast, but one core,
-  so Brent's ``T_p`` stays a *derived* number.
-* ``kernel_backend="parallel"`` — this module. The embarrassingly
-  parallel kernel phases run across **real OS processes** (no GIL in
-  the way: each worker is its own interpreter) over shared-memory
-  arrays (:mod:`repro.pram.shm`), which is what turns the tracker's
-  Brent predictions ``W/p ≤ T_p ≤ W/p + D`` into a *measured*
-  speedup curve (``analysis/brent.py``, experiment E19).
-
-The old thread-pool demo (:func:`run_parallel`) is kept for the
-map-style helpers that want concurrency on blocking workloads; the
-kernel backend itself uses :class:`WorkerPool` — persistent worker
-processes with a pipe protocol whose task messages carry only a
-function path, scalars, and :class:`~repro.pram.shm.ShmRef` array
-descriptors (zero-copy: workers mmap the segments).
+The algorithms themselves never run concurrently: ``kernel_backend=
+"tracked"`` is sequential Python with exact per-element work/span
+accounting, and ``kernel_backend="numpy"`` runs the same round structure
+as whole-array kernels on one core. Brent's ``T_p`` is a *derived*
+number from the tracked work and span (``pram/tracker.py``). What this
+module offers is :func:`run_parallel`, an order-preserving thread-pool
+map for blocking workloads (experiment E14), and :func:`default_workers`,
+the ``REPRO_WORKERS``-controlled width it and the benchmarks use.
 """
 
 from __future__ import annotations
 
-# repro-lint: disable-file=R002 — the dict iterations here are worker-side
-# kwargs materialization (order irrelevant: keyword application) and shm
-# handle cleanup (unordered OS resources); neither reaches an output.
-
-import atexit
-import importlib
 import math
 import os
-import traceback
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Callable, Sequence, TypeVar
-
-from ..obs.flight import recorder
+from typing import Callable, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
@@ -45,24 +23,16 @@ R = TypeVar("R")
 __all__ = [
     "run_parallel",
     "default_workers",
-    "WorkerPool",
-    "get_pool",
-    "shutdown_pool",
 ]
-
-#: generous per-task reply timeout; a tile task is milliseconds of numpy,
-#: so hitting this means a worker died mid-task (we raise, never hang CI)
-_REPLY_TIMEOUT_S = 120.0
 
 
 def default_workers() -> int:
-    """Worker count for the pools: ``REPRO_WORKERS`` if set, else a cap.
+    """Worker count for the pool: ``REPRO_WORKERS`` if set, else a cap.
 
     ``REPRO_WORKERS`` must be a positive integer; anything else raises a
     ``ValueError`` naming the variable (a silent fallback would bench the
     wrong width). Values above ``os.cpu_count()`` are capped — extra
-    workers past the physical cores only add scheduling noise to the
-    T_p curve.
+    workers past the physical cores only add scheduling noise.
     """
     cores = os.cpu_count() or 1
     env = os.environ.get("REPRO_WORKERS")
@@ -91,8 +61,7 @@ def run_parallel(
     dominates. Work items are dispatched in chunks of
     ``ceil(n / (4 * workers))`` by default — enough slices for the pool
     to balance, few enough that per-item future overhead is amortized.
-    Threads, not processes: right for blocking/IO-shaped maps; the
-    kernel backend's compute tiles go through :class:`WorkerPool`.
+    Threads, not processes: right for blocking/IO-shaped maps.
     """
     n = len(items)
     if n == 0:
@@ -112,249 +81,3 @@ def run_parallel(
         for part in pool.map(run_chunk, chunks):
             out.extend(part)
         return out
-
-
-# ----------------------------------------------------------------------
-# Process worker pool (the ``parallel`` kernel backend's substrate)
-# ----------------------------------------------------------------------
-
-def _resolve_fn(path: str, cache: dict) -> Callable:
-    """Import ``"pkg.module:function"`` once per worker."""
-    fn = cache.get(path)
-    if fn is None:
-        mod_name, _, attr = path.partition(":")
-        fn = getattr(importlib.import_module(mod_name), attr)
-        cache[path] = fn
-    return fn
-
-
-def _materialize(value: Any, shm_cache: dict):
-    """Replace :class:`ShmRef` descriptors with attached numpy views.
-
-    Attachments are cached per segment name (an mmap per segment, not
-    per task); the cache is bounded and evicts oldest-first, closing the
-    evicted mapping. Containers are walked one level deep — tile kwargs
-    are flat by convention.
-    """
-    from .shm import ShmRef, attach_ref
-
-    if isinstance(value, ShmRef):
-        hit = shm_cache.get(value.name)
-        if hit is None:
-            if len(shm_cache) >= 64:
-                oldest = next(iter(shm_cache))
-                try:
-                    shm_cache.pop(oldest).close()
-                except OSError:  # pragma: no cover
-                    pass
-            shm, _ = attach_ref(value)
-            shm_cache[value.name] = shm
-            hit = shm
-        import numpy as np
-
-        return np.ndarray(value.shape, dtype=np.dtype(value.dtype), buffer=hit.buf)
-    if isinstance(value, (list, tuple)):
-        return type(value)(_materialize(v, shm_cache) for v in value)
-    return value
-
-
-def _worker_main(conn) -> None:
-    """Worker loop: recv ``("task", fn_path, kwargs)``, reply in order.
-
-    Module-level (picklable) so the pool is spawn-start-method safe.
-    Workers never unlink segments — the owning arena in the parent does.
-    """
-    fn_cache: dict = {}
-    shm_cache: dict = {}
-    try:
-        while True:
-            try:
-                msg = conn.recv()
-            except (EOFError, OSError):
-                break
-            if msg[0] == "stop":
-                break
-            _, fn_path, kwargs = msg
-            try:
-                fn = _resolve_fn(fn_path, fn_cache)
-                out = fn(**{k: _materialize(v, shm_cache) for k, v in kwargs.items()})
-                conn.send(("ok", out))
-            except BaseException:
-                conn.send(("error", traceback.format_exc()))
-    finally:
-        for shm in shm_cache.values():
-            try:
-                shm.close()
-            except OSError:  # pragma: no cover
-                pass
-        try:
-            conn.close()
-        except OSError:  # pragma: no cover
-            pass
-
-
-class WorkerPool:
-    """Persistent OS-process workers executing shared-memory tile tasks.
-
-    A task is ``(fn_path, kwargs)`` where ``fn_path`` is
-    ``"pkg.module:function"`` and kwargs are scalars or
-    :class:`~repro.pram.shm.ShmRef` descriptors. :meth:`run` distributes
-    a batch round-robin and returns the results in task order, raising
-    (with the worker's traceback) if any task failed.
-
-    The start method defaults to ``fork`` where available (cheap, and
-    workers inherit the imported numpy); set ``REPRO_MP_START=spawn`` to
-    exercise the spawn-safe path (workers import everything lazily and
-    ``_worker_main`` is module-level, so both methods behave the same).
-    """
-
-    def __init__(self, workers: int | None = None, start_method: str | None = None):
-        import multiprocessing as mp
-
-        self._width = workers if workers is not None else default_workers()
-        if self._width < 1:
-            raise ValueError(f"workers must be >= 1, got {self._width}")
-        method = start_method or os.environ.get("REPRO_MP_START")
-        if method is None:
-            method = "fork" if "fork" in mp.get_all_start_methods() else None
-        ctx = mp.get_context(method)
-        self._procs = []
-        self._conns = []
-        self._closed = False
-        try:
-            for i in range(self._width):
-                parent_conn, child_conn = ctx.Pipe()
-                proc = ctx.Process(
-                    target=_worker_main,
-                    args=(child_conn,),
-                    daemon=True,
-                    name=f"repro-worker-{i}",
-                )
-                proc.start()
-                child_conn.close()
-                self._procs.append(proc)
-                self._conns.append(parent_conn)
-        except BaseException:
-            self.close()
-            raise
-
-    @property
-    def width(self) -> int:
-        return self._width
-
-    def run(self, tasks: Sequence[tuple[str, dict]]) -> list:
-        """Execute ``tasks`` across the workers; results in task order."""
-        if self._closed:
-            raise ValueError("pool is closed")
-        if not tasks:
-            return []
-        # one correlation event per *dispatch*, never per task: the
-        # flight recorder stamps the caller's request id (when the
-        # dispatch originated from a service request context) so a
-        # flight dump ties kernel rounds back to the client request
-        rec = recorder()
-        rec.event("pool.dispatch", tasks=len(tasks), width=self._width)
-        for i, (fn_path, kwargs) in enumerate(tasks):
-            self._conns[i % self._width].send(("task", fn_path, kwargs))
-        results: list = [None] * len(tasks)
-        failure: str | None = None
-        for i in range(len(tasks)):
-            conn = self._conns[i % self._width]
-            try:
-                if not conn.poll(_REPLY_TIMEOUT_S):
-                    raise EOFError("reply timeout")
-                status, payload = conn.recv()
-            except (EOFError, OSError) as exc:
-                # fires at most once per run(): the raise below ends the
-                # collection loop and closes the pool
-                rec.anomaly(  # repro-lint: disable=R006
-                    "worker_fault",
-                    worker=i % self._width,
-                    width=self._width,
-                    tasks=len(tasks),
-                    error=str(exc) or type(exc).__name__,
-                )
-                self.close()
-                raise RuntimeError(
-                    f"worker {i % self._width} died mid-task ({exc}); "
-                    "pool closed"
-                ) from None
-            if status == "error" and failure is None:
-                failure = payload
-            results[i] = payload if status == "ok" else None
-        if failure is not None:
-            rec.anomaly(
-                "worker_task_failed",
-                tasks=len(tasks),
-                width=self._width,
-                error=failure.strip().splitlines()[-1],
-            )
-            raise RuntimeError(f"worker task failed:\n{failure}")
-        return results
-
-    def close(self) -> None:
-        """Stop the workers (idempotent, exception-safe)."""
-        if self._closed:
-            return
-        self._closed = True
-        for conn in self._conns:
-            try:
-                conn.send(("stop",))
-            except (BrokenPipeError, OSError):
-                pass
-        for proc in self._procs:
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover - stuck worker
-                proc.terminate()
-                proc.join(timeout=5)
-        for conn in self._conns:
-            try:
-                conn.close()
-            except OSError:  # pragma: no cover
-                pass
-        self._procs.clear()
-        self._conns.clear()
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __del__(self) -> None:  # pragma: no cover - gc timing dependent
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-#: process-global pool behind the ``parallel`` backend (lazily created)
-_pool: WorkerPool | None = None
-
-
-def get_pool(workers: int | None = None) -> WorkerPool:
-    """The process-global :class:`WorkerPool`, (re)created on demand.
-
-    With ``workers=None`` the current pool (any width) is reused, or one
-    of :func:`default_workers` width is started. An explicit ``workers``
-    recreates the pool at that width if it differs — benchmarks sweep
-    ``p`` this way.
-    """
-    global _pool
-    if _pool is not None and not _pool._closed:
-        if workers is None or _pool.width == workers:
-            return _pool
-        _pool.close()
-    _pool = WorkerPool(workers)
-    return _pool
-
-
-def shutdown_pool() -> None:
-    """Close the process-global pool (idempotent; atexit-registered)."""
-    global _pool
-    if _pool is not None:
-        _pool.close()
-        _pool = None
-
-
-atexit.register(shutdown_pool)

@@ -1,8 +1,13 @@
 """Tests for the demo thread-pool executor and Tracker.primitive scopes."""
 
+import os
 import threading
 
+import pytest
+
 from repro.pram import Tracker, default_workers, run_parallel
+
+CORES = os.cpu_count() or 1
 
 
 class TestRunParallel:
@@ -36,13 +41,44 @@ class TestRunParallel:
         assert default_workers() >= 1
 
     def test_exceptions_propagate(self):
-        import pytest
-
         def boom(x):
             raise RuntimeError("boom")
 
         with pytest.raises(RuntimeError):
             run_parallel(list(range(8)), boom, workers=2)
+
+
+# ``REPRO_WORKERS`` parsing rejects garbage loudly (a silent fallback
+# would bench the wrong width) and caps at the physical core count
+
+
+def test_default_workers_unset(monkeypatch):
+    monkeypatch.delenv("REPRO_WORKERS", raising=False)
+    assert default_workers() == min(8, CORES)
+
+
+def test_default_workers_valid(monkeypatch):
+    monkeypatch.setenv("REPRO_WORKERS", "1")
+    assert default_workers() == 1
+
+
+def test_default_workers_caps_at_cores(monkeypatch):
+    monkeypatch.setenv("REPRO_WORKERS", "9999")
+    assert default_workers() == CORES
+
+
+@pytest.mark.parametrize("bad", ["abc", "2.5", " ", "0x4"])
+def test_default_workers_rejects_non_integer(monkeypatch, bad):
+    monkeypatch.setenv("REPRO_WORKERS", bad)
+    with pytest.raises(ValueError, match="REPRO_WORKERS"):
+        default_workers()
+
+
+@pytest.mark.parametrize("bad", ["0", "-3"])
+def test_default_workers_rejects_non_positive(monkeypatch, bad):
+    monkeypatch.setenv("REPRO_WORKERS", bad)
+    with pytest.raises(ValueError, match="REPRO_WORKERS"):
+        default_workers()
 
 
 class TestPrimitiveScope:

@@ -76,10 +76,11 @@ class TestDispatch:
         assert resolve_backend(None) == before
 
     def test_unknown_backend_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend("cuda")
-        with pytest.raises(ValueError):
-            set_default_backend("cuda")
+        for name in ("cuda", "parallel"):
+            with pytest.raises(ValueError, match="backends: tracked, numpy$"):
+                resolve_backend(name)
+            with pytest.raises(ValueError, match="backends: tracked, numpy$"):
+                set_default_backend(name)
 
     def test_unknown_backend_error_names_source(self, monkeypatch):
         with pytest.raises(ValueError, match="backend argument"):
